@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   double p99_uncontended = 0;
   LoadResult uncontended;
   {
-    net::Server server(clean_factory, index, base);
+    net::Server server(clean_factory, serve::make_gmpz_backend(index), base);
     server.start();
     run_load(server.port(), input, 1, 8, kRange, uniform);  // warm-up
     uncontended = run_load(server.port(), input, 1, base_reqs, kRange, uniform);
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
 
   // --- zipf-distributed concurrent clients ------------------------------
   {
-    net::Server server(clean_factory, index, base);
+    net::Server server(clean_factory, serve::make_gmpz_backend(index), base);
     server.start();
     // Zipf over block ranks: hot blocks dominate, the way real range
     // traffic concentrates on popular objects — exercises the LRU cache
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   tight.request_deadline_ms =
       std::max(1, static_cast<int>(p99_uncontended * 1e3 * 1.5));
   {
-    net::Server server(clean_factory, index, tight);
+    net::Server server(clean_factory, serve::make_gmpz_backend(index), tight);
     server.start();
     overload = run_load(server.port(), input, 8, reqs / 2, kRange, uniform);
     const net::ServerStats st = server.stats();
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
             serve::FaultPlan::parse("rate=0.01,burst=1,seed=7")));
   };
   const auto goodput_run = [&](const net::SourceFactory& factory) {
-    net::Server server(factory, index, base);
+    net::Server server(factory, serve::make_gmpz_backend(index), base);
     server.start();
     const LoadResult r = run_load(server.port(), input, 4, reqs / 2, kRange,
                                   uniform);
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
     // ratio just as much as an unlucky overload draw. Keep the widest
     // baseline tail seen — small-sample p99 only ever underestimates.
     {
-      net::Server server(clean_factory, index, base);
+      net::Server server(clean_factory, serve::make_gmpz_backend(index), base);
       server.start();
       const LoadResult again =
           run_load(server.port(), input, 1, base_reqs, kRange, uniform);
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
       p99_uncontended =
           std::max(p99_uncontended, percentile(again.latencies, 0.99));
     }
-    net::Server server(clean_factory, index, tight);
+    net::Server server(clean_factory, serve::make_gmpz_backend(index), tight);
     server.start();
     overload = run_load(server.port(), input, 8, reqs / 2, kRange, uniform);
     server.stop();

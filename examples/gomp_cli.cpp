@@ -514,13 +514,7 @@ int cmd_index(int argc, char** argv) {
 
   // Sniff the container so `gomp index any.gz` writes the matching
   // sidecar flavor (".gzix" seek index vs the native ".gmpx").
-  Bytes prefix(static_cast<std::size_t>(
-      std::min<std::uint64_t>(source->size(), format::kSniffBytes)));
-  if (!prefix.empty()) {
-    source->read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
-  }
-  if (format::sniff_container(ByteSpan(prefix.data(), prefix.size())) ==
-      format::ContainerKind::kGzip) {
+  if (sniff_source(*source) == format::ContainerKind::kGzip) {
     const std::string sidecar_path = argc == 2 ? argv[1] : input_path + ".gzix";
     ingest::GzipIndexOptions gopt;
     gopt.pool = &default_pool();

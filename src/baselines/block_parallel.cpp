@@ -13,13 +13,11 @@ constexpr std::uint32_t kFrameMagic = 0x42504C47u;  // "GLPB"
 
 void run_indexed(std::size_t count, std::size_t num_threads,
                  const std::function<void(std::size_t)>& fn) {
-  if (num_threads == 1) {
+  const PoolPlan plan(num_threads);
+  if (plan.get() == nullptr) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
-  } else if (num_threads == 0) {
-    default_pool().parallel_for(count, fn);
   } else {
-    ThreadPool pool(num_threads);
-    pool.parallel_for(count, fn);
+    plan.get()->parallel_for(count, fn);
   }
 }
 

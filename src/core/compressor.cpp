@@ -162,34 +162,13 @@ Bytes compress(ByteSpan input, const CompressOptions& options, CompressStats* st
     }
   };
 
-  // Thread plan (mirrors decompress): whole-block pipelining across the
-  // pool when there are multiple blocks, intra-block sub-block fan-out
-  // for a single-block input, serial otherwise. Every worker owns one
+  // The block plan decompress() uses: whole-block pipelining across the
+  // pool for multiple blocks, sub-block token-coding fan-out for a
+  // single-block input, serial without a pool. Every worker owns one
   // pre-reserved EncodeScratch.
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
-
+  const PoolPlan plan(options.num_threads);
   std::vector<core::EncodeScratch> workers;
-  if (pool == nullptr || pool->parallelism() == 1) {
-    workers.resize(1);
-    for (std::size_t b = 0; b < num_blocks; ++b) compress_one(workers[0], b, nullptr);
-  } else if (num_blocks != 1) {
-    workers.resize(pool->parallelism());
-    pool->parallel_for_worker(num_blocks, [&](std::size_t worker, std::size_t b) {
-      compress_one(workers[worker], b, nullptr);
-    });
-  } else {
-    // A single block cannot use inter-block parallelism: fan its
-    // sub-block token coding out across the pool instead.
-    workers.resize(1);
-    compress_one(workers[0], 0, pool);
-  }
+  run_block_plan(plan.get(), num_blocks, workers, compress_one);
 
   header.block_compressed_sizes.reserve(num_blocks);
   std::size_t total_payload = 0;

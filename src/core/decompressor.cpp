@@ -40,41 +40,10 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
                           strategy, options.verify_checksums, ctx, lane_pool);
   };
 
-  // Pick the thread plan (see the header comment).
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
-
+  // Thread and block plan: see the header comment.
+  const PoolPlan plan(options.num_threads);
   std::vector<core::BlockDecodeContext> workers;
-  if (pool == nullptr || pool->parallelism() == 1) {
-    // Serial: one worker context, blocks in order.
-    workers.resize(1);
-    for (std::size_t b = 0; b < num_blocks; ++b) decompress_one(workers[0], b, nullptr);
-  } else if (num_blocks != 1) {
-    // (An empty file — zero blocks — also lands here; the parallel_for
-    // over zero indices is a no-op.)
-    // Inter-block parallelism: workers pull whole blocks from the queue.
-    // This stays the right plan even for 2 <= num_blocks < parallelism:
-    // lane fan-out only parallelises token decode, so pipelining whole
-    // blocks (token decode + resolution overlapped across blocks) beats
-    // serialising the blocks whenever there is more than one.
-    workers.resize(pool->parallelism());
-    pool->parallel_for_worker(num_blocks, [&](std::size_t worker, std::size_t b) {
-      decompress_one(workers[worker], b, nullptr);
-    });
-  } else {
-    // A single block cannot use inter-block parallelism at all: fan both
-    // of its decode phases out across the pool instead — phase-1 token
-    // decode by sub-block lane (every codec), then phase-2 LZ77
-    // resolution by warp-group shard with a completed-watermark handoff.
-    workers.resize(1);
-    decompress_one(workers[0], 0, pool);
-  }
+  run_block_plan(plan.get(), num_blocks, workers, decompress_one);
 
   for (const core::BlockDecodeContext& ctx : workers) {
     result.metrics.merge(ctx.metrics);

@@ -1,13 +1,14 @@
 // The Gompresso decompressor: inter-block parallelism across worker
 // threads, intra-block parallelism via the warp engine (§III-B).
 //
-// Thread plan: with at least as many blocks as pool participants, workers
-// pull whole blocks from the common queue (the paper's inter-block
-// parallelism). A single-block file cannot use that at all, so both of
-// its decode phases are fanned out across the pool instead: token decode
-// by sub-block lane (the paper's warp lanes, executed as real threads)
-// and LZ77 resolution by warp-group shard with a completed-watermark
-// handoff (core/resolve_parallel.hpp). Every worker owns a DecodeScratch
+// Thread plan (run_block_plan in util/thread_pool.hpp, shared with
+// compress()): with more than one block, workers pull whole blocks from
+// the common queue (the paper's inter-block parallelism). A single-block
+// file cannot use that at all, so both of its decode phases are fanned
+// out across the pool instead: token decode by sub-block lane (the
+// paper's warp lanes, executed as real threads) and LZ77 resolution by
+// warp-group shard with a completed-watermark handoff
+// (core/resolve_parallel.hpp). Every worker owns a DecodeScratch
 // arena and private metric accumulators, merged once at the end — the
 // steady-state block loop takes no locks and performs no heap
 // allocations.

@@ -20,8 +20,8 @@
 //                "GMPX" sidecar checkpoint)
 //   gzip      -> ingest::make_gzip_backend (GzipIndex discovered by
 //                speculative parallel decode, "GZIX" sidecar)
-// See core/open.hpp for OpenOptions (sidecars, gzip chunking) and
-// serve/backend.hpp for the ContainerBackend seam itself.
+// See core/open.hpp for OpenOptions (sidecars, decode knobs, gzip
+// chunking) and serve/backend.hpp for the ContainerBackend seam itself.
 //
 // See README.md for the architecture overview and DESIGN.md for the
 // paper-to-module map.

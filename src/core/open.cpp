@@ -2,24 +2,13 @@
 
 #include <fstream>
 #include <iterator>
-#include <optional>
 
-#include "format/sniff.hpp"
 #include "ingest/gzip_backend.hpp"
 #include "serve/seek_index.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso {
 namespace {
-
-serve::BackendDecodeOptions backend_decode_options(
-    const serve::SessionOptions& s) {
-  serve::BackendDecodeOptions o;
-  o.verify_checksums = s.verify_checksums;
-  o.auto_strategy = s.auto_strategy;
-  o.strategy = s.strategy;
-  return o;
-}
 
 Bytes read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -39,15 +28,18 @@ std::uint32_t sidecar_magic(ByteSpan sidecar) {
 
 }  // namespace
 
-std::shared_ptr<serve::ContainerBackend> open_backend(
-    serve::ByteSource& source, const OpenOptions& options) {
+format::ContainerKind sniff_source(serve::ByteSource& source) {
   Bytes prefix(static_cast<std::size_t>(
       std::min<std::uint64_t>(source.size(), format::kSniffBytes)));
   if (!prefix.empty()) {
     source.read_at(0, MutableByteSpan(prefix.data(), prefix.size()));
   }
-  const format::ContainerKind kind =
-      format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
+  return format::sniff_container(ByteSpan(prefix.data(), prefix.size()));
+}
+
+std::shared_ptr<serve::ContainerBackend> open_backend(
+    serve::ByteSource& source, const OpenOptions& options) {
+  const format::ContainerKind kind = sniff_source(source);
 
   std::shared_ptr<serve::ContainerBackend> backend;
   switch (kind) {
@@ -63,8 +55,7 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
       } else {
         index = serve::SeekIndex::build(source);
       }
-      backend = serve::make_gmpz_backend(std::move(index),
-                                         backend_decode_options(options.session));
+      backend = serve::make_gmpz_backend(std::move(index), options.decode);
       break;
     }
     case format::ContainerKind::kGzip: {
@@ -76,21 +67,12 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
             ByteSpan(sidecar.data(), sidecar.size())));
         break;
       }
+      // The index build runs on the thread plan the session will decode
+      // with, unless the caller pinned a pool for it.
       ingest::GzipIndexOptions g = options.gzip;
-      // The index build parallelizes on the same pool resolution the
-      // session will use for decode, unless the caller pinned one.
-      std::optional<ThreadPool> own_pool;
-      if (g.pool == nullptr) {
-        if (options.session.pool != nullptr) {
-          g.pool = options.session.pool;
-        } else if (options.session.num_threads == 0) {
-          g.pool = &default_pool();
-        } else if (options.session.num_threads > 1) {
-          own_pool.emplace(options.session.num_threads);
-          g.pool = &*own_pool;
-        }
-        // num_threads == 1: leave null — sequential build.
-      }
+      const PoolPlan plan(options.session.num_threads,
+                          g.pool != nullptr ? g.pool : options.session.pool);
+      g.pool = plan.get();
       backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g));
       break;
     }

@@ -23,11 +23,20 @@
 // sidecar of the wrong flavor for the sniffed container is a
 // FormatError. With a valid sidecar, open() does no data scan at all —
 // reopen cost is proportional to the sidecar, not the stream.
+//
+// This is the only way in. A caller that must build the block table
+// from a different source than the session reads (a clean scan under a
+// fault-injected data plane, one backend shared by many sessions) calls
+// open_backend() itself and hands the result to the
+// DecodeSession(source, backend, options) constructor. The decode knobs
+// live in OpenOptions::decode because the backend, not the session,
+// reads them.
 #pragma once
 
 #include <memory>
 #include <string>
 
+#include "format/sniff.hpp"
 #include "ingest/gzip_index.hpp"
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
@@ -35,19 +44,25 @@
 namespace gompresso {
 
 struct OpenOptions {
-  /// Session tuning, passed through to the DecodeSession (and used to
-  /// resolve the gzip index-build pool when `gzip.pool` is unset).
+  /// Session tuning, passed through to the DecodeSession. Its thread
+  /// plan (`pool`, else `num_threads`) also runs the gzip index build
+  /// unless `gzip.pool` is set.
   serve::SessionOptions session;
+  /// Decode knobs (checksum verification, strategy) captured by the
+  /// backend open_backend() builds — the only place they are read.
+  serve::BackendDecodeOptions decode;
   /// Optional checkpointed seek table ("GMPX" or "GZIX"); empty = scan
   /// the source. A missing file is an error — callers that treat the
   /// sidecar as a cache should stat it first (as `gomp` does).
   std::string sidecar_path;
-  /// Gzip index-build tuning. `gzip.pool` defaults to the session's
-  /// decode pool resolution: options.session.pool if set, else a pool
-  /// sized by options.session.num_threads (0 = the shared default
-  /// pool, 1 = sequential).
+  /// Gzip index-build tuning; `gzip.pool` overrides the session's
+  /// thread plan for the build.
   ingest::GzipIndexOptions gzip;
 };
+
+/// Reads the first format::kSniffBytes of `source` (fewer for a shorter
+/// source) and classifies the container by its magic.
+format::ContainerKind sniff_source(serve::ByteSource& source);
 
 /// Sniffs `source` and returns the matching backend (shared, so the
 /// net daemon can hand one backend to many sessions). Throws

@@ -35,9 +35,9 @@ std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
                                         const DecompressOptions& options) {
   OpenOptions oopt;
   oopt.session.num_threads = options.num_threads;
-  oopt.session.verify_checksums = options.verify_checksums;
-  oopt.session.auto_strategy = options.auto_strategy;
-  oopt.session.strategy = options.strategy;
+  oopt.decode.verify_checksums = options.verify_checksums;
+  oopt.decode.auto_strategy = options.auto_strategy;
+  oopt.decode.strategy = options.strategy;
 
   const std::istream::pos_type base = in.tellg();
   std::unique_ptr<serve::DecodeSession> session =
@@ -120,16 +120,10 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   // are the volume, go through read_exact's direct bulk path.
   util::IstreamReader reader(in, /*buffer_size=*/1);
 
-  // Same thread-plan selection as decompress(): a pipe narrows the
-  // *input* to one cursor, not the decode itself.
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
+  // Same thread plan as decompress(): a pipe narrows the *input* to one
+  // cursor, not the decode itself.
+  const PoolPlan plan(options.num_threads);
+  ThreadPool* const pool = plan.get();
   const std::size_t batch = pool != nullptr ? pool->parallelism() : 1;
 
   std::vector<core::BlockDecodeContext> ctxs(batch);

@@ -15,12 +15,8 @@
 
 namespace gompresso::ingest {
 
-/// Wraps a prebuilt (or sidecar-loaded) index.
+/// Wraps a prebuilt (or sidecar-loaded) index. gompresso::open_backend()
+/// builds the index on the caller's thread plan first.
 std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index);
-
-/// Builds the index from `source` first (one full decode of the
-/// stream), then wraps it.
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
-    serve::ByteSource& source, const GzipIndexOptions& options = {});
 
 }  // namespace gompresso::ingest

@@ -78,21 +78,6 @@ Server::Server(SourceFactory factory,
   check(options_.max_connections > 0, "net: max_connections must be positive");
 }
 
-Server::Server(SourceFactory factory, serve::SeekIndex index,
-               ServeOptions options)
-    : Server(std::move(factory),
-             serve::make_gmpz_backend(std::move(index),
-                                      [&options] {
-                                        serve::BackendDecodeOptions o;
-                                        o.verify_checksums =
-                                            options.session.verify_checksums;
-                                        o.auto_strategy =
-                                            options.session.auto_strategy;
-                                        o.strategy = options.session.strategy;
-                                        return o;
-                                      }()),
-             options) {}
-
 std::shared_ptr<serve::ContainerBackend> Server::build_backend(
     const SourceFactory& factory, const ServeOptions& options) {
   check(factory != nullptr, "net: serve needs a source factory");

@@ -49,7 +49,6 @@
 #include "net/http.hpp"
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
-#include "serve/seek_index.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/socket.hpp"
@@ -59,7 +58,7 @@ namespace gompresso::net {
 
 /// Produces one ByteSource view of the archive per call. Called once per
 /// connection (each session needs its own source) plus once at startup
-/// when no pre-built index is given. Must be callable concurrently.
+/// when no pre-built backend is given. Must be callable concurrently.
 using SourceFactory = std::function<std::unique_ptr<serve::ByteSource>()>;
 
 struct ServeOptions {
@@ -127,12 +126,9 @@ class Server {
   /// and gzip backends alike.
   Server(SourceFactory factory, std::shared_ptr<serve::ContainerBackend> backend,
          ServeOptions options = {});
-  /// Native-container compatibility form: wraps the SeekIndex in a
-  /// GMPZ backend.
-  Server(SourceFactory factory, serve::SeekIndex index,
-         ServeOptions options = {});
   /// Convenience: sniffs one factory() source and builds the matching
-  /// backend (gompresso::open_backend), so `gomp serve any.gz` works.
+  /// backend (gompresso::open_backend, default decode knobs), so
+  /// `gomp serve any.gz` works.
   explicit Server(SourceFactory factory, ServeOptions options = {});
 
   /// Drains and joins (equivalent to stop()).

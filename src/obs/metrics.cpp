@@ -25,24 +25,87 @@ const char* kind_name(MetricKind k) {
 
 thread_local std::uint64_t Registry::tls_registry_id_;
 thread_local std::atomic<std::uint64_t>* Registry::tls_slots_;
+thread_local bool Registry::tls_exited_;
 
-Registry::Registry() : id_(g_next_registry_id.fetch_add(1)) {}
+struct Registry::Anchor {
+  util::Mutex mutex;
+  Registry* registry GUARDED_BY(mutex) = nullptr;
+};
 
-Registry::~Registry() = default;
+struct Registry::ThreadShards {
+  struct Held {
+    std::uint64_t registry_id;
+    std::weak_ptr<Anchor> anchor;
+    Shard* shard;
+  };
+  std::vector<Held> held;
+
+  ThreadShards() = default;
+  ThreadShards(const ThreadShards&) = delete;
+  ThreadShards& operator=(const ThreadShards&) = delete;
+  ~ThreadShards() {
+    tls_exited_ = true;
+    tls_registry_id_ = 0;  // the cached shard is no longer this thread's
+    for (const Held& h : held) {
+      const std::shared_ptr<Anchor> anchor = h.anchor.lock();
+      if (anchor == nullptr) continue;
+      util::MutexLock lock(anchor->mutex);
+      if (anchor->registry != nullptr) anchor->registry->release_shard(h.shard);
+    }
+  }
+};
+
+Registry::Registry()
+    : id_(g_next_registry_id.fetch_add(1)), anchor_(std::make_shared<Anchor>()) {
+  util::MutexLock lock(anchor_->mutex);
+  anchor_->registry = this;
+}
+
+Registry::~Registry() {
+  util::MutexLock lock(anchor_->mutex);
+  anchor_->registry = nullptr;
+}
+
+Registry::Shard* Registry::claim_shard() {
+  util::MutexLock lock(mutex_);
+  if (!free_shards_.empty()) {
+    Shard* shard = free_shards_.back();
+    free_shards_.pop_back();
+    return shard;
+  }
+  shards_.push_back(std::make_unique<Shard>());
+  return shards_.back().get();
+}
+
+void Registry::release_shard(Shard* shard) {
+  util::MutexLock lock(mutex_);
+  free_shards_.push_back(shard);
+}
 
 std::atomic<std::uint64_t>* Registry::slots_slow() {
-  auto shard = std::make_unique<Shard>();
-  std::atomic<std::uint64_t>* slots = shard->slots.data();
-  {
-    util::MutexLock lock(mutex_);
-    shards_.push_back(std::move(shard));
+  Shard* shard = nullptr;
+  if (tls_exited_) {
+    // This thread's hook already ran: a shard claimed now stays claimed.
+    shard = claim_shard();
+  } else {
+    thread_local ThreadShards mine;
+    std::erase_if(mine.held, [](const ThreadShards::Held& h) {
+      return h.anchor.expired();
+    });
+    for (const ThreadShards::Held& h : mine.held) {
+      if (h.registry_id == id_) shard = h.shard;
+    }
+    if (shard == nullptr) {
+      shard = claim_shard();
+      mine.held.push_back(ThreadShards::Held{id_, anchor_, shard});
+    }
   }
   // Cache for this thread. A stale entry for a destroyed registry can
   // never match: ids are process-unique and never reused. Publish the
   // slots pointer before the id: slots_fast() keys on the id.
-  tls_slots_ = slots;
+  tls_slots_ = shard->slots.data();
   tls_registry_id_ = id_;
-  return slots;
+  return tls_slots_;
 }
 
 std::uint32_t Registry::register_metric(std::string_view name,
@@ -125,9 +188,15 @@ MetricsSnapshot Registry::snapshot() const {
 
 void Registry::reset() {
   util::MutexLock lock(mutex_);
+  // shards_ holds the free-listed shards too, so they are zeroed as well.
   for (const auto& sh : shards_)
     for (auto& slot : sh->slots) slot.store(0, std::memory_order_relaxed);
   for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
+}
+
+std::size_t Registry::num_shards() const {
+  util::MutexLock lock(mutex_);
+  return shards_.size();
 }
 
 std::uint64_t HistogramData::percentile(double p) const {

@@ -11,10 +11,14 @@
 // MetricsSnapshot that can be serialized to JSON.
 //
 // Shards are owned by the Registry and are never freed before it, so
-// counts survive thread exit. The thread-local shard cache is keyed by
-// a process-unique registry id, so a Registry dying (tests construct
-// short-lived ones) can never alias a stale cache entry onto a new
-// Registry at a reused address.
+// counts survive thread exit. A thread that exits hands its shard, counts
+// intact, to the registry's free list, and the next thread to register
+// takes it from there (totals stay exact: counters are sums), so a
+// long-lived process that keeps starting threads holds as many shards as
+// it ever ran threads at once, not as many as it ever started. The
+// thread-local shard cache is keyed by a process-unique registry id, so a
+// Registry dying (tests construct short-lived ones) can never alias a
+// stale cache entry onto a new Registry at a reused address.
 //
 // Handles must not outlive their Registry. For the process-wide
 // obs::registry() singleton that is automatic; code that may run during
@@ -182,6 +186,9 @@ class Registry {
   /// quiesce writers for an exact zero.
   void reset() EXCLUDES(mutex_);
 
+  /// Shards allocated so far, in use or on the free list.
+  std::size_t num_shards() const EXCLUDES(mutex_);
+
   // -- hot-path plumbing (public for the inline handle methods) --------
   void counter_add(std::uint32_t slot, std::uint64_t n) {
     if (!enabled()) return;
@@ -223,13 +230,25 @@ class Registry {
   /// dynamic-init TLS also trips UBSan's null-member check at -O1).
   static thread_local std::uint64_t tls_registry_id_;
   static thread_local std::atomic<std::uint64_t>* tls_slots_;
+  /// Set once this thread's shards went back to their registries at
+  /// thread exit; a later update takes a shard it never returns.
+  static thread_local bool tls_exited_;
+
+  /// What a thread-exit hook holds to reach its registry: the
+  /// registry's destructor clears the pointer before its shards die.
+  struct Anchor;
+  /// The shards one thread holds, returned when the thread exits.
+  struct ThreadShards;
 
   std::atomic<std::uint64_t>* slots_fast() {
     if (tls_registry_id_ == id_) return tls_slots_;
     return slots_slow();
   }
-  // Registers this thread's shard (cold; the only mutex on the path).
+  // Finds or claims this thread's shard (cold; the only mutex on the path).
   std::atomic<std::uint64_t>* slots_slow() EXCLUDES(mutex_);
+  // Takes a shard off the free list, or allocates one.
+  Shard* claim_shard() EXCLUDES(mutex_);
+  void release_shard(Shard* shard) EXCLUDES(mutex_);
 
   std::uint32_t register_metric(std::string_view name, std::string_view unit,
                                 MetricKind kind, std::uint32_t width)
@@ -245,7 +264,10 @@ class Registry {
   // slot arrays the elements own are updated lock-free through the TLS
   // cache and read with relaxed loads by snapshot().
   std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(mutex_);
+  // Shards of exited threads, still in shards_ (their counts still sum).
+  std::vector<Shard*> free_shards_ GUARDED_BY(mutex_);
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges_{};
+  const std::shared_ptr<Anchor> anchor_;
 };
 
 inline void Counter::add(std::uint64_t n) const {

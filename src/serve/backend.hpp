@@ -17,6 +17,9 @@
 //     fused-table block decode), moved here from the session.
 //   * ingest::make_gzip_backend() — rapidgzip-style parallel decode of
 //     arbitrary RFC 1952 gzip (src/ingest/gzip_backend.hpp).
+// gompresso::open_backend() (core/open.hpp) sniffs a source and picks
+// one, passing OpenOptions::decode as the BackendDecodeOptions; that is
+// the only place the checksum and strategy knobs are read.
 //
 // Backends are immutable after construction and decode_block() must be
 // callable from many pool workers concurrently, so one shared_ptr

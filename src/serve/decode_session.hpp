@@ -1,15 +1,17 @@
 // Streaming decode sessions: bounded-memory incremental decompression.
 //
-// A DecodeSession opens a container (native GMPZ/GMPS, or a foreign
-// format like gzip) through a ByteSource and serves
-// read()/seek()/read_at() with memory bounded by the decode window and
-// cache — independent of file size:
+// A DecodeSession reads a container (native GMPZ/GMPS, or a foreign
+// format like gzip) from a ByteSource through a ContainerBackend and
+// serves read()/seek()/read_at() with memory bounded by the decode
+// window and cache — independent of file size:
 //
 //   peak pooled bytes <= (max_inflight_blocks + cache capacity + 1)
 //                        x (block_size + max compressed block size)
 //
-// Internally a ContainerBackend (serve/backend.hpp) maps uncompressed
-// offsets to compressed block extents and decodes one block at a time;
+// Sessions are opened with gompresso::open() (core/open.hpp), or with
+// the one constructor below over a backend from open_backend(). The
+// ContainerBackend (serve/backend.hpp) maps uncompressed offsets to
+// compressed block extents and decodes one block at a time;
 // a pipelined prefetcher keeps a sliding window of max_inflight_blocks
 // decode tasks in flight on the ThreadPool: sequential reads submit the
 // next window of blocks before blocking on the first, so decode overlaps
@@ -95,14 +97,11 @@ struct SessionOptions {
   /// Decoded-block LRU capacity. Rounded up to max_inflight_blocks so
   /// the prefetch window can never thrash its own output.
   std::size_t cache_blocks = 8;
-  /// Worker threads for the prefetch pipeline; 0 = shared default pool,
-  /// 1 = decode inline on the calling thread.
+  /// Worker threads for the prefetch pipeline (the PoolPlan rule):
+  /// 0 = shared default pool, 1 = decode inline on the calling thread.
+  /// Checksum and strategy knobs belong to the backend
+  /// (OpenOptions::decode), not the session.
   std::size_t num_threads = 0;
-  bool verify_checksums = true;
-  /// Strategy selection, as in DecompressOptions (auto picks DE for
-  /// DE-compressed segments).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
   /// Transient-failure retry discipline for source reads + block decode.
   RetryPolicy retry;
   /// Test seam: replaces the real backoff sleep. Called with the backoff
@@ -166,25 +165,12 @@ struct SessionStats {
 
 class DecodeSession {
  public:
-  /// Opens `source` through `backend` — the one constructor every open
-  /// path funnels into (gompresso::open() picks the backend by sniffing
-  /// the source). Throws FormatError if the backend's block table was
-  /// built from a source of a different size.
+  /// Opens `source` through `backend` — the only constructor; build the
+  /// backend with gompresso::open_backend() (or call gompresso::open(),
+  /// which does both). Throws FormatError if the backend's block table
+  /// was built from a source of a different size.
   DecodeSession(std::unique_ptr<ByteSource> source,
                 std::shared_ptr<ContainerBackend> backend,
-                SessionOptions options = {});
-
-  /// Deprecated shim (native containers only): scans `source` and
-  /// builds a GMPZ backend from the session options. Prefer
-  /// gompresso::open(), which also handles foreign formats and
-  /// sidecars; kept so existing callers compile unchanged.
-  explicit DecodeSession(std::unique_ptr<ByteSource> source,
-                         SessionOptions options = {});
-
-  /// Deprecated shim (native containers only): wraps a pre-built
-  /// SeekIndex (e.g. SeekIndex::load()) in a GMPZ backend. Prefer
-  /// gompresso::open() with OpenOptions::sidecar_path.
-  DecodeSession(std::unique_ptr<ByteSource> source, SeekIndex index,
                 SessionOptions options = {});
 
   /// Blocks until every in-flight prefetch task has finished.
@@ -237,17 +223,9 @@ class DecodeSession {
   BackendBlock block_extent(std::size_t b) const { return backend_->block(b); }
   std::uint64_t compressed_end() const { return backend_->compressed_end(); }
 
+  /// The backend; backend().seek_index() is the native SeekIndex for
+  /// GMPZ/GMPS sessions (sidecar save) and nullptr for foreign formats.
   const ContainerBackend& backend() const { return *backend_; }
-
-  /// Native SeekIndex accessor — valid only for GMPZ/GMPS-backed
-  /// sessions (throws for foreign-format backends). Prefer the
-  /// backend-neutral accessors above; kept for sidecar workflows and
-  /// existing callers.
-  const SeekIndex& index() const {
-    const SeekIndex* idx = backend_->seek_index();
-    check(idx != nullptr, "serve: session backend has no native seek index");
-    return *idx;
-  }
 
   /// Coherent snapshot of the session's counters. Each field is an
   /// atomic relaxed load — no lock, so readers and decode tasks are
@@ -303,7 +281,6 @@ class DecodeSession {
     std::atomic<std::uint64_t> bytes_zero_filled{0};
   };
 
-  void init();
   void backoff_sleep(std::uint64_t us);
   std::size_t read_impl(std::uint64_t offset, MutableByteSpan dst)
       EXCLUDES(mutex_);
@@ -324,8 +301,7 @@ class DecodeSession {
   std::shared_ptr<ContainerBackend> backend_;
   SessionOptions options_;
 
-  std::unique_ptr<ThreadPool> own_pool_;
-  ThreadPool* pool_ = nullptr;  // nullptr = always decode inline
+  PoolPlan pool_;  // get() == nullptr: always decode inline
   bool async_ = false;          // pool_ has spawned workers
   std::size_t window_ = 1;      // effective max_inflight_blocks
   std::size_t cache_capacity_ = 0;

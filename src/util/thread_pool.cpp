@@ -236,4 +236,15 @@ ThreadPool& default_pool() {
   return pool;
 }
 
+PoolPlan::PoolPlan(std::size_t num_threads, ThreadPool* shared) {
+  if (shared != nullptr) {
+    pool_ = shared;
+  } else if (num_threads == 0) {
+    pool_ = &default_pool();
+  } else if (num_threads > 1) {
+    own_ = std::make_unique<ThreadPool>(num_threads);
+    pool_ = own_.get();
+  }
+}
+
 }  // namespace gompresso

@@ -125,4 +125,47 @@ class ThreadPool {
 /// hardware concurrency of the host.
 ThreadPool& default_pool();
 
+/// The library's one thread-plan rule, shared by every entry point that
+/// takes a `num_threads` knob. A non-null `shared` pool wins outright;
+/// otherwise 0 selects default_pool(), 1 selects no pool (the caller
+/// does the work inline) and n > 1 builds a pool of n participants
+/// owned by this object, which lives as long as the plan does.
+class PoolPlan {
+ public:
+  explicit PoolPlan(std::size_t num_threads, ThreadPool* shared = nullptr);
+
+  /// The pool to run on; nullptr = inline on the calling thread.
+  ThreadPool* get() const { return pool_; }
+
+ private:
+  std::unique_ptr<ThreadPool> own_;
+  ThreadPool* pool_ = nullptr;
+};
+
+/// The block plan compress() and decompress() share. `one(worker, b,
+/// lane_pool)` processes block b with per-worker state `worker`:
+///   * no pool, or a pool without workers: blocks in order on one state;
+///   * more than one block (or none): whole blocks pulled from the
+///     common queue, one state per participant — pipelining whole blocks
+///     beats fanning out their lanes whenever there is more than one;
+///   * a single block: one state, with the pool passed down as
+///     `lane_pool` so the block fans its sub-block lanes out instead.
+/// `workers` is resized to the states used, for the caller to merge.
+template <class Worker, class BlockFn>
+void run_block_plan(ThreadPool* pool, std::size_t num_blocks,
+                    std::vector<Worker>& workers, const BlockFn& one) {
+  if (pool == nullptr || pool->parallelism() == 1) {
+    workers.resize(1);
+    for (std::size_t b = 0; b < num_blocks; ++b) one(workers[0], b, nullptr);
+  } else if (num_blocks != 1) {
+    workers.resize(pool->parallelism());
+    pool->parallel_for_worker(num_blocks, [&](std::size_t worker, std::size_t b) {
+      one(workers[worker], b, nullptr);
+    });
+  } else {
+    workers.resize(1);
+    one(workers[0], 0, pool);
+  }
+}
+
 }  // namespace gompresso

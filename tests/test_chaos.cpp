@@ -60,14 +60,16 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       opt.max_inflight_blocks = 4;
       opt.cache_blocks = 4;  // small cache forces re-decodes (fresh faults)
       opt.sleep_hook = [](std::uint64_t) {};  // backoff without wall time
-      DecodeSession session(std::move(faulty), opt);
+      OpenOptions oopt;
+      oopt.session = opt;
+      auto session = open(std::move(faulty), oopt);
 
       // Armed after the scan; burst 2 < max_attempts 3 makes absorption
       // a certainty, not a probability.
       handle->set_random_transients(/*rate=*/0.3, /*burst=*/2,
                                     /*seed=*/1000u + static_cast<unsigned>(trial));
 
-      const std::uint64_t total = session.size();
+      const std::uint64_t total = session->size();
       Bytes sequential(total);
       std::atomic<bool> failed{false};
       std::vector<std::thread> readers;
@@ -76,7 +78,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
         try {
           std::size_t done = 0, n;
           Bytes chunk(7000);
-          while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+          while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
             // read() serializes the cursor, so ranges are consecutive.
             std::copy(chunk.begin(), chunk.begin() + static_cast<long>(n),
                       sequential.begin() + static_cast<long>(done));
@@ -96,7 +98,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
             Bytes buf(4096);
             for (int i = 0; i < 24; ++i) {
               const std::uint64_t off = rng.next_below(total);
-              const std::size_t n = session.read_at(
+              const std::size_t n = session->read_at(
                   off, MutableByteSpan(buf.data(), buf.size()));
               if (!std::equal(buf.begin(), buf.begin() + static_cast<long>(n),
                               f.input.begin() + static_cast<long>(off))) {
@@ -113,7 +115,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       ASSERT_FALSE(failed) << "codec " << static_cast<int>(codec) << " trial "
                            << trial;
       ASSERT_EQ(sequential, f.input);
-      const serve::SessionStats st = session.stats();
+      const serve::SessionStats st = session->stats();
       EXPECT_EQ(st.permanent_errors, 0u);
       EXPECT_EQ(st.bytes_zero_filled, 0u);
       // The plan did fire (rate 0.3 over dozens of block reads) and was
@@ -168,7 +170,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
           std::make_unique<serve::FaultInjectingByteSource>(
               serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
               std::move(plan)),
-          serve::SeekIndex(index), opt);
+          serve::make_gmpz_backend(index), opt);
 
       // Zero-filling compressed bytes can, rarely, reproduce a block
       // that still decodes (e.g. zeroing bytes that were already zero).
@@ -290,7 +292,7 @@ TEST(Chaos, ServeSoakKeepsTaxonomyAndBytesUnderFaultsAndOverload) {
                   serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
                   serve::FaultPlan::parse(spec)));
         },
-        index, opt);
+        serve::make_gmpz_backend(index), opt);
     server.start();
 
     const std::uint64_t total = f.input.size();

@@ -32,6 +32,13 @@ struct Fixture {
   }
 };
 
+std::unique_ptr<DecodeSession> open_session(std::unique_ptr<serve::ByteSource> source,
+                                            const serve::SessionOptions& opt) {
+  OpenOptions oopt;
+  oopt.session = opt;
+  return open(std::move(source), oopt);
+}
+
 std::unique_ptr<serve::FaultInjectingByteSource> wrap(const Bytes& data,
                                                       serve::FaultPlan plan = {}) {
   return std::make_unique<serve::FaultInjectingByteSource>(
@@ -252,12 +259,12 @@ TEST(ErrorTaxonomy, CrcMismatchIsCorruptionError) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  auto session = open_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
   Bytes buf(f.input.size());
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
-  EXPECT_GE(session.stats().permanent_errors, 1u);
+  EXPECT_GE(session->stats().permanent_errors, 1u);
 }
 
 TEST(ErrorTaxonomy, IstreamSourceDeviceFailureIsIoError) {
@@ -283,12 +290,12 @@ TEST(ErrorTaxonomy, FileTruncatedAfterOpenIsIoError) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.retry.max_attempts = 1;  // surface the IoError, not its retries
-  DecodeSession session(serve::open_file_source(path), opt);  // scan succeeds
+  auto session = open_session(serve::open_file_source(path), opt);  // scan succeeds
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);  // shrink to 0
   }
   Bytes buf(1000);
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())),
                IoError);
   std::remove(path.c_str());
 }
@@ -406,11 +413,11 @@ TEST(DecodeSession, JitteredRetrySleepsStayInBandAndAbsorbFaults) {
   serve::SessionOptions opt;
   opt.num_threads = 1;  // default jitter = 0.25 stays on
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  auto session = open_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(2));
   Bytes buf(1000);
-  ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
+  ASSERT_EQ(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
   ASSERT_EQ(sleeps.size(), 2u);
   // attempt 2 from base 500, attempt 3 from base 1000, each +/- 25%.
@@ -429,14 +436,14 @@ TEST(DecodeSession, RetryAbsorbsTransientFaults) {
   opt.num_threads = 1;
   opt.retry.jitter = 0;  // exact ladder for this test
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  auto session = open_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(2));  // < max_attempts = 3
   Bytes buf(1000);
-  ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
+  ASSERT_EQ(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
 
-  const serve::SessionStats st = session.stats();
+  const serve::SessionStats st = session->stats();
   EXPECT_EQ(st.transient_errors, 2u);
   EXPECT_EQ(st.retries, 2u);
   EXPECT_EQ(st.permanent_errors, 0u);
@@ -455,22 +462,22 @@ TEST(DecodeSession, RetryExhaustionSurfacesIoErrorAndHealthStaysUnknown) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  auto session = open_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(3));  // == max_attempts
   Bytes buf(1000);
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())),
                IoError);
   ASSERT_EQ(sleeps.size(), 2u);  // slept before attempts 2 and 3 only
 
   // Transient exhaustion is not damage: the block stays kUnknown and the
   // next read (fault now cleared) succeeds.
-  EXPECT_EQ(session.block_health(0), serve::BlockHealth::kUnknown);
-  ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
+  EXPECT_EQ(session->block_health(0), serve::BlockHealth::kUnknown);
+  ASSERT_EQ(session->read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
-  EXPECT_EQ(session.block_health(0), serve::BlockHealth::kGood);
-  EXPECT_EQ(session.stats().transient_errors, 3u);
-  EXPECT_EQ(session.stats().retries, 2u);
+  EXPECT_EQ(session->block_health(0), serve::BlockHealth::kGood);
+  EXPECT_EQ(session->stats().transient_errors, 3u);
+  EXPECT_EQ(session->stats().retries, 2u);
 }
 
 TEST(DecodeSession, DeadlineCapsCumulativeBackoff) {
@@ -484,11 +491,11 @@ TEST(DecodeSession, DeadlineCapsCumulativeBackoff) {
   opt.retry.jitter = 0;         // exact ladder for the deadline arithmetic
   opt.retry.deadline_us = 600;  // allows the 500us sleep, not 500 + 1000
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  auto session = open_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(5));
   Bytes buf(1000);
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())),
                IoError);
   ASSERT_EQ(sleeps.size(), 1u);
   EXPECT_EQ(sleeps[0], 500u);
@@ -501,13 +508,13 @@ TEST(DecodeSession, PermanentErrorsAreNeverRetried) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  auto session = open_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
   Bytes buf(f.input.size());
-  EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
+  EXPECT_THROW(session->read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
   EXPECT_TRUE(sleeps.empty());
-  EXPECT_EQ(session.stats().retries, 0u);
+  EXPECT_EQ(session->stats().retries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,12 +525,12 @@ TEST(DecodeSession, BestEffortReadZeroFillsExactlyTheDamagedBlock) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  auto session = open_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
 
   Bytes got(f.input.size());
   serve::DamageReport report;
-  ASSERT_EQ(session.read_at_damage_tolerant(
+  ASSERT_EQ(session->read_at_damage_tolerant(
                 0, MutableByteSpan(got.data(), got.size()), &report),
             f.input.size());
   ASSERT_FALSE(report.clean());
@@ -546,16 +553,16 @@ TEST(DecodeSession, BestEffortReadZeroFillsExactlyTheDamagedBlock) {
       ASSERT_EQ(got[i], f.input[i]) << i;
     }
   }
-  EXPECT_EQ(report.damaged_bytes(), session.stats().bytes_zero_filled);
-  EXPECT_GE(session.stats().degraded_reads, 1u);
+  EXPECT_EQ(report.damaged_bytes(), session->stats().bytes_zero_filled);
+  EXPECT_GE(session->stats().degraded_reads, 1u);
 
   // Re-reading hits the known-damaged fast path (no second decode).
-  const std::uint64_t decoded_before = session.stats().blocks_decoded;
+  const std::uint64_t decoded_before = session->stats().blocks_decoded;
   serve::DamageReport again;
-  session.read_at_damage_tolerant(0, MutableByteSpan(got.data(), got.size()),
+  session->read_at_damage_tolerant(0, MutableByteSpan(got.data(), got.size()),
                                   &again);
   EXPECT_EQ(again.damaged_bytes(), report.damaged_bytes());
-  EXPECT_EQ(session.stats().blocks_decoded, decoded_before);
+  EXPECT_EQ(session->stats().blocks_decoded, decoded_before);
 }
 
 TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
@@ -563,15 +570,15 @@ TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  auto session = open_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
 
-  const serve::DamageReport report = session.verify_archive();
+  const serve::DamageReport report = session->verify_archive();
   ASSERT_FALSE(report.clean());
   const std::size_t bad = report.extents.front().block;
   std::size_t damaged_blocks = 0;
-  for (std::size_t b = 0; b < session.index().num_blocks(); ++b) {
-    const serve::BlockHealth h = session.block_health(b);
+  for (std::size_t b = 0; b < session->num_blocks(); ++b) {
+    const serve::BlockHealth h = session->block_health(b);
     if (h == serve::BlockHealth::kDamaged) {
       ++damaged_blocks;
       EXPECT_EQ(b, bad);
@@ -580,20 +587,20 @@ TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
     }
   }
   EXPECT_EQ(damaged_blocks, 1u);
-  EXPECT_EQ(report.damaged_bytes(), session.index().block(bad).uncomp_size);
+  EXPECT_EQ(report.damaged_bytes(), session->block_extent(bad).uncomp_size);
 }
 
 TEST(DecodeSession, CleanArchiveVerifiesClean) {
   const Fixture f;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
-  EXPECT_TRUE(session.verify_archive().clean());
-  for (std::size_t b = 0; b < session.index().num_blocks(); ++b) {
-    EXPECT_EQ(session.block_health(b), serve::BlockHealth::kGood);
+  auto session = open_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
+  EXPECT_TRUE(session->verify_archive().clean());
+  for (std::size_t b = 0; b < session->num_blocks(); ++b) {
+    EXPECT_EQ(session->block_health(b), serve::BlockHealth::kGood);
   }
-  EXPECT_EQ(session.stats().bytes_zero_filled, 0u);
+  EXPECT_EQ(session->stats().bytes_zero_filled, 0u);
 }
 
 TEST(DecodeSession, BestEffortDegradesExhaustedTransientsWithoutMarkingDamage) {
@@ -603,15 +610,15 @@ TEST(DecodeSession, BestEffortDegradesExhaustedTransientsWithoutMarkingDamage) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(faulty), opt);
-  const std::size_t block0_size = session.index().block(0).uncomp_size;
+  auto session = open_session(std::move(faulty), opt);
+  const std::size_t block0_size = session->block_extent(0).uncomp_size;
 
   // Enough failures that the first tolerant read degrades block 0...
   handle->inject(
-      serve::FaultSpec::transient_at(session.index().block(0).comp_offset, 1));
+      serve::FaultSpec::transient_at(session->block_extent(0).comp_offset, 1));
   Bytes got(block0_size);
   serve::DamageReport report;
-  ASSERT_EQ(session.read_at_damage_tolerant(
+  ASSERT_EQ(session->read_at_damage_tolerant(
                 0, MutableByteSpan(got.data(), got.size()), &report),
             block0_size);
   ASSERT_EQ(report.extents.size(), 1u);
@@ -621,14 +628,14 @@ TEST(DecodeSession, BestEffortDegradesExhaustedTransientsWithoutMarkingDamage) {
 
   // ...but an I/O fault is not damage: the block stays kUnknown and the
   // next tolerant read (fault cleared) recovers the real bytes.
-  EXPECT_EQ(session.block_health(0), serve::BlockHealth::kUnknown);
+  EXPECT_EQ(session->block_health(0), serve::BlockHealth::kUnknown);
   serve::DamageReport clean;
-  ASSERT_EQ(session.read_at_damage_tolerant(
+  ASSERT_EQ(session->read_at_damage_tolerant(
                 0, MutableByteSpan(got.data(), got.size()), &clean),
             block0_size);
   EXPECT_TRUE(clean.clean());
   EXPECT_TRUE(std::equal(got.begin(), got.end(), f.input.begin()));
-  EXPECT_EQ(session.block_health(0), serve::BlockHealth::kGood);
+  EXPECT_EQ(session->block_health(0), serve::BlockHealth::kGood);
 }
 
 }  // namespace

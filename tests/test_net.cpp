@@ -363,9 +363,9 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   // session a source that corrupts it. The index is pre-built from the
   // clean bytes, as the daemon does.
   auto clean = serve::memory_source(ByteSpan(f.file.data(), f.file.size()));
-  serve::SeekIndex index = serve::SeekIndex::build(*clean);
-  ASSERT_GE(index.num_blocks(), 3u);
-  const serve::BlockEntry& victim = index.block(1);
+  const std::shared_ptr<serve::ContainerBackend> backend = open_backend(*clean);
+  ASSERT_GE(backend->num_blocks(), 3u);
+  const serve::BackendBlock victim = backend->block(1);
   const std::string spec =
       "flip@" + std::to_string(victim.comp_offset + victim.comp_size / 2) +
       "+1:0x40";
@@ -379,7 +379,7 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   const std::uint64_t block_hi = victim.uncomp_offset + victim.uncomp_size - 1;
 
   {  // Default: faithful service only — damaged range is a 502.
-    net::Server server(faulty_factory, index, f.options());
+    net::Server server(faulty_factory, backend, f.options());
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;
@@ -399,7 +399,7 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   {  // Degraded mode: zero-filled 206 with the damage advertised.
     net::ServeOptions opt = f.options();
     opt.degraded = true;
-    net::Server server(faulty_factory, index, opt);
+    net::Server server(faulty_factory, backend, opt);
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <cctype>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,6 +273,52 @@ TEST(Registry, ShardMergeMatchesSerialTotals) {
   EXPECT_EQ(ha->hist.buckets, hb->hist.buckets);
 }
 
+TEST(Registry, ExitedThreadsRecycleTheirShards) {
+  // 64 threads started and joined one after another: each returns its
+  // shard at exit and the next one takes it over, so the registry never
+  // needs more than one shard (two if this thread also counted), and the
+  // recycled shards keep every count.
+  obs::Registry reg;
+  const obs::Counter c = reg.counter("t.recycled");
+  for (int i = 0; i < 64; ++i) {
+    std::thread([&c] { c.add(1); }).join();
+  }
+  EXPECT_EQ(reg.snapshot().counter("t.recycled"), 64u);
+  EXPECT_LE(reg.num_shards(), 2u);
+  // reset() reaches the shards on the free list too.
+  reg.reset();
+  EXPECT_EQ(reg.snapshot().counter("t.recycled"), 0u);
+}
+
+TEST(Registry, ThreadOutlivingItsRegistryExitsCleanly) {
+  // A thread's exit hook must not touch a registry destroyed before the
+  // thread ends (tests build short-lived registries).
+  std::mutex mu;
+  std::condition_variable cv;
+  bool counted = false, registry_gone = false;
+  auto reg = std::make_unique<obs::Registry>();
+  const obs::Counter c = reg->counter("t.orphan");
+  std::thread t([&] {
+    c.add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    counted = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return registry_gone; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return counted; });
+  }
+  EXPECT_EQ(reg->snapshot().counter("t.orphan"), 1u);
+  reg.reset();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    registry_gone = true;
+  }
+  cv.notify_all();
+  t.join();
+}
+
 TEST(Registry, DisabledRegistryCountsNothing) {
   obs::Registry reg;
   const obs::Counter c = reg.counter("t.count");
@@ -410,18 +458,18 @@ TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
 
   std::uint64_t blocks_decoded = 0;
   {
-    auto session = DecodeSession(serve::memory_source(file));
+    auto session = open(serve::memory_source(file));
     Bytes got(input.size());
     std::size_t off = 0, n = 0;
     Bytes chunk(64 * 1024);
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       std::copy(chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(n),
                 got.begin() + static_cast<std::ptrdiff_t>(off));
       off += n;
     }
     EXPECT_EQ(off, input.size());
     EXPECT_EQ(got, input);
-    const serve::SessionStats st = session.stats();
+    const serve::SessionStats st = session->stats();
     blocks_decoded = st.blocks_decoded;
     EXPECT_EQ(st.decode_failures, 0u);
   }  // session dtor joins in-flight prefetch before we stop the tracer
@@ -476,13 +524,13 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
   CompressOptions copt;
   copt.block_size = 16 * 1024;
   const Bytes file = compress(input, copt);
-  auto session = DecodeSession(serve::memory_source(file));
+  auto session = open(serve::memory_source(file));
 
   std::atomic<bool> done{false};
   std::thread poller([&] {
     serve::SessionStats last;
     while (!done.load(std::memory_order_relaxed)) {
-      const serve::SessionStats st = session.stats();
+      const serve::SessionStats st = session->stats();
       EXPECT_GE(st.blocks_decoded, last.blocks_decoded);
       EXPECT_GE(st.bytes_delivered, last.bytes_delivered);
       EXPECT_GE(st.cache_hits, last.cache_hits);
@@ -504,7 +552,7 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
         const std::size_t off = static_cast<std::size_t>((r * 131 + i * 977) * 97) %
                                 input.size();
         const std::size_t n =
-            session.read_at(off, MutableByteSpan(buf.data(), buf.size()));
+            session->read_at(off, MutableByteSpan(buf.data(), buf.size()));
         const std::size_t want = std::min<std::size_t>(buf.size(), input.size() - off);
         EXPECT_EQ(n, want);
       }
@@ -515,7 +563,7 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
   poller.join();
   snapshotter.join();
 
-  const serve::SessionStats st = session.stats();
+  const serve::SessionStats st = session->stats();
   EXPECT_GT(st.blocks_decoded, 0u);
   EXPECT_GT(st.bytes_delivered, 0u);
 }

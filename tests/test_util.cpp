@@ -140,6 +140,34 @@ TEST(Zipf, CoversTail) {
   EXPECT_GT(seen.size(), 40u);
 }
 
+TEST(PoolPlan, ZeroThreadsSelectsTheDefaultPool) {
+  const PoolPlan plan(0);
+  EXPECT_EQ(plan.get(), &default_pool());
+}
+
+TEST(PoolPlan, OneThreadSelectsInlineWork) {
+  const PoolPlan plan(1);
+  EXPECT_EQ(plan.get(), nullptr);
+}
+
+TEST(PoolPlan, SeveralThreadsBuildAnOwnedPool) {
+  const PoolPlan plan(3);
+  ASSERT_NE(plan.get(), nullptr);
+  EXPECT_NE(plan.get(), &default_pool());
+  EXPECT_EQ(plan.get()->parallelism(), 3u);
+  // Each plan owns its own pool.
+  const PoolPlan other(3);
+  EXPECT_NE(other.get(), plan.get());
+}
+
+TEST(PoolPlan, SharedPoolOverridesThreadCount) {
+  ThreadPool shared(2);
+  for (const std::size_t n : {0u, 1u, 3u}) {
+    const PoolPlan plan(n, &shared);
+    EXPECT_EQ(plan.get(), &shared) << n;
+  }
+}
+
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
