@@ -238,15 +238,20 @@ class TraceGuard {
   bool done_ = false;
 };
 
+/// `open_s` covers open_session() (for a .gz without a sidecar, the
+/// index build), `read_s` the reads after it; the headline MB/s is over
+/// their sum, the wall time a user waits for.
 void print_session_stats(const DecodeSession& session, std::uint64_t bytes,
-                         double seconds) {
+                         double open_s, double read_s) {
   const serve::SessionStats st = session.stats();
+  const auto mbps = [bytes](double s) { return s > 0 ? bytes / 1e6 / s : 0.0; };
   std::fprintf(stderr,
-               "%llu bytes in %.3fs (%.1f MB/s), %zu blocks indexed, "
+               "%llu bytes in %.3fs (%.1f MB/s): open %.3fs, read %.3fs "
+               "(%.1f MB/s); %zu blocks indexed, "
                "%llu decoded, %llu cache hits, %llu evictions, "
                "peak pooled %.1f MiB\n",
-               static_cast<unsigned long long>(bytes), seconds,
-               seconds > 0 ? bytes / 1e6 / seconds : 0.0,
+               static_cast<unsigned long long>(bytes), open_s + read_s,
+               mbps(open_s + read_s), open_s, read_s, mbps(read_s),
                session.num_blocks(),
                static_cast<unsigned long long>(st.blocks_decoded),
                static_cast<unsigned long long>(st.cache_hits),
@@ -276,13 +281,15 @@ int cmd_cat(int argc, char** argv) {
 
   install_signal_handlers();
   TraceGuard trace(trace_path);
+  Stopwatch timer;
   auto session = open_session(positional[0], index_path, fault_spec, opt);
+  const double open_s = timer.seconds();
   std::FILE* out = positional.size() == 2
                        ? std::fopen(positional[1].c_str(), "wb")
                        : stdout;
   check(out != nullptr, "cannot open output file");
 
-  Stopwatch timer;
+  timer.reset();
   Bytes chunk(kStreamCopyChunk);
   serve::DamageReport damage;
   std::uint64_t total = 0;
@@ -295,13 +302,13 @@ int cmd_cat(int argc, char** argv) {
     check(std::fwrite(chunk.data(), 1, n, out) == n, "write failed");
     total += n;
   }
-  const double seconds = timer.seconds();
+  const double read_s = timer.seconds();
   if (out != stdout) std::fclose(out);
   if (g_interrupted != 0) {
     std::fprintf(stderr, "gomp cat: interrupted, %llu bytes written\n",
                  static_cast<unsigned long long>(total));
   }
-  print_session_stats(*session, total, seconds);
+  print_session_stats(*session, total, open_s, read_s);
   session.reset();  // join in-flight prefetch before writing the trace
   trace.finish();
   for (const serve::DamagedExtent& e : damage.extents) {
@@ -490,10 +497,12 @@ int cmd_range(int argc, char** argv) {
   }
 
   TraceGuard trace(trace_path);
-  auto session = open_session(positional[0], index_path, fault_spec, opt);
   Stopwatch timer;
+  auto session = open_session(positional[0], index_path, fault_spec, opt);
+  const double open_s = timer.seconds();
+  timer.reset();
   const Bytes data = session->read_bytes_at(offset, length);
-  const double seconds = timer.seconds();
+  const double read_s = timer.seconds();
 
   std::FILE* out = positional.size() == 4
                        ? std::fopen(positional[3].c_str(), "wb")
@@ -501,7 +510,7 @@ int cmd_range(int argc, char** argv) {
   check(out != nullptr, "cannot open output file");
   check(std::fwrite(data.data(), 1, data.size(), out) == data.size(), "write failed");
   if (out != stdout) std::fclose(out);
-  print_session_stats(*session, data.size(), seconds);
+  print_session_stats(*session, data.size(), open_s, read_s);
   session.reset();
   trace.finish();
   return 0;

@@ -4,12 +4,14 @@
 // has no such table, so this index *discovers* one (the rapidgzip
 // recipe, PAPERS.md): cut the compressed stream into fixed-size chunks
 // on a byte grid, speculatively find a DEFLATE block boundary near
-// each grid point (inflate.hpp's strong header filter), decode every
-// chunk in parallel into (literal, marker) token streams, then stitch
-// sequentially — each chunk's true 32 KiB window patches its
-// successor's markers. Chunks whose speculation missed (boundary not
-// found, or found a different bit than the stitch arrived at) fall
-// back to a sequential byte decode of just that chunk.
+// each grid point (inflate.hpp's pre-filtered header scan) and decode
+// every chunk in parallel into (literal, marker) token streams. The
+// cells form a window chain: each waits only for its predecessor's end
+// bit and true 32 KiB window, computes its successor's window from its
+// own last 32 KiB of tokens and publishes it, so the serial part is
+// O(32 KiB) per chunk. Chunks whose speculation missed (boundary not
+// found, or found a different bit than the chain arrived at) are
+// decoded as bytes with the true window, on the chain.
 //
 // The result is the same shape as serve::SeekIndex: per-chunk extents
 // keyed by cumulative uncompressed offset, plus each chunk's start
@@ -17,10 +19,12 @@
 // (GzipBackend). It checkpoints into a "GZIX" sidecar, so reopening a
 // .gz costs a header parse instead of a boundary scan.
 //
-// Member CRC32/ISIZE trailers are verified during the build (chained
-// across chunk boundaries with crc32's seed threading), which is what
-// lets GzipBackend::decode_block skip whole-member verification it has
-// no context for.
+// Member CRC32/ISIZE trailers are verified during the build: after
+// publishing, each chunk patches its markers and checksums its output
+// per member segment on its own worker; a serial pass folds the
+// segments with crc32_combine and checks the trailers in stream order.
+// That is what lets GzipBackend::decode_block skip whole-member
+// verification it has no context for.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +60,12 @@ struct GzipIndexOptions {
   std::uint64_t chunk_size = 512 * 1024;
   /// Verify each member's CRC32 + ISIZE trailer during the build.
   bool verify_members = true;
-  /// Pool for the speculative chunk decodes; nullptr (or a pool with
-  /// parallelism() == 1) selects the pure sequential build, which never
-  /// speculates and therefore never pays a marker pass.
+  /// Pool for the speculative window-chain build: every chunk scans,
+  /// marker-decodes, patches and checksums on a pool participant, and
+  /// only the O(32 KiB) window hand-off between neighbours is serial.
+  /// nullptr (or a pool with parallelism() == 1) selects the pure
+  /// sequential build, which never speculates and therefore never pays
+  /// a marker pass.
   ThreadPool* pool = nullptr;
 };
 

@@ -1,6 +1,10 @@
 #include "ingest/inflate.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include "core/decode_tables.hpp"
 #include "huffman/decoder.hpp"
@@ -78,7 +82,10 @@ bool all_zero(const std::vector<std::uint8_t>& lengths) {
 
 /// Fused-table token loop shared by all sinks. One refill() per token:
 /// lit/len code (<= 15) + length extra (<= 5) + distance code (<= 15)
-/// + distance extra (<= 13) = 48 <= kGuaranteedBits.
+/// + distance extra (<= 13) = 48 <= kGuaranteedBits. A reader that ran
+/// past its data ends the block early; the caller's overflow check
+/// then reports truncation (or grows a partial slice) at once, instead
+/// of after the zero padding has decoded up to the expansion bound.
 template <typename Sink>
 void decode_block(BitReader& br, const InflateTables& t, Sink& sink) {
   const std::uint32_t* lit = t.litlen.data();
@@ -86,6 +93,7 @@ void decode_block(BitReader& br, const InflateTables& t, Sink& sink) {
   const unsigned lbits = t.litlen_bits;
   const unsigned dbits = t.dist_bits;
   while (true) {
+    if (br.overflowed()) [[unlikely]] return;
     br.refill();
     const std::uint32_t e = lit[br.peek_unchecked(lbits)];
     check_corrupt(e != 0, "gzip: invalid lit/len codeword");
@@ -166,13 +174,21 @@ bool parse_dynamic_header(BitReader& br, InflateScratch& s, bool require_complet
   s.litlen_lengths.assign(hlit, 0);
   s.dist_lengths.assign(hdist, 0);
   const unsigned total = hlit + hdist;
+  // Running Kraft sums (units of 2^-15) of the two codes: a code that is
+  // already over-subscribed can stop the parse at once, which is where
+  // nearly every false boundary candidate fails.
+  std::uint32_t kraft[2] = {0, 0};
   const auto set_len = [&](unsigned i, std::uint8_t v) {
+    const std::uint32_t weight = v == 0 ? 0u : 1u << (15 - v);
     if (i < hlit) {
       s.litlen_lengths[i] = v;
+      kraft[0] += weight;
     } else {
       s.dist_lengths[i - hlit] = v;
+      kraft[1] += weight;
     }
   };
+  const auto over_subscribed = [&] { return kraft[0] > 32768 || kraft[1] > 32768; };
   unsigned i = 0;
   while (i < total) {
     br.refill();  // code (<= 7) + repeat extra (<= 7) per iteration
@@ -182,6 +198,7 @@ bool parse_dynamic_header(BitReader& br, InflateScratch& s, bool require_complet
     const std::uint32_t sym = core::fused_value(e);
     if (sym < 16) {
       set_len(i++, static_cast<std::uint8_t>(sym));
+      if (over_subscribed()) return false;
       continue;
     }
     unsigned repeat;
@@ -197,6 +214,7 @@ bool parse_dynamic_header(BitReader& br, InflateScratch& s, bool require_complet
     }
     if (i + repeat > total) return false;
     for (unsigned k = 0; k < repeat; ++k) set_len(i++, value);
+    if (over_subscribed()) return false;
   }
 
   // An over-subscribed code is invalid in any mode; holes from an
@@ -235,34 +253,155 @@ void build_dynamic_tables(InflateScratch& s) {
   }
 }
 
+namespace {
+
+/// Kraft sums over four 3-bit precode lengths: entry i holds
+/// sum(2^(7 - len)) over the nonzero lengths packed LSB-first in i. A
+/// precode (lengths <= 7) is exactly complete iff its sum is 2^7.
+constexpr std::array<std::uint16_t, 4096> kPrecodeKraft4 = [] {
+  std::array<std::uint16_t, 4096> t{};
+  for (unsigned i = 0; i < t.size(); ++i) {
+    unsigned sum = 0;
+    for (unsigned k = 0; k < 4; ++k) {
+      const unsigned len = (i >> (3 * k)) & 7u;
+      if (len != 0) sum += 1u << (7 - len);
+    }
+    t[i] = static_cast<std::uint16_t>(sum);
+  }
+  return t;
+}();
+
+/// The first 13 header bits (BFINAL, BTYPE, HLIT, HDIST) at an offset:
+/// bit 0 = BTYPE 2 with HLIT <= 29 and HDIST <= 29 (RFC 1951 allows at
+/// most 286 lit/len and 30 distance codes), bit 1 = BTYPE 0.
+constexpr std::array<std::uint8_t, 8192> kHeaderBits13 = [] {
+  std::array<std::uint8_t, 8192> t{};
+  for (unsigned v = 0; v < t.size(); ++v) {
+    const unsigned btype = (v >> 1) & 3u;
+    const bool dynamic = btype == 2 && ((v >> 3) & 31u) <= 29 && ((v >> 8) & 31u) <= 29;
+    t[v] = static_cast<std::uint8_t>((dynamic ? 1u : 0u) | (btype == 0 ? 2u : 0u));
+  }
+  return t;
+}();
+
+/// Mask of the HCLEN + 4 precode lengths (3 bits each) by HCLEN.
+constexpr std::array<std::uint64_t, 16> kPrecodeMask = [] {
+  std::array<std::uint64_t, 16> t{};
+  for (unsigned h = 0; h < t.size(); ++h) t[h] = (std::uint64_t{1} << (3 * (h + 4))) - 1;
+  return t;
+}();
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));  // little-endian hosts, as BitReader
+  return v;
+}
+
+/// True if a stored block's LEN/NLEN could start at bit 0 of `v`.
+bool stored_lengths_ok(std::uint32_t v) {
+  return (((v ^ (v >> 16)) & 0xFFFFu) == 0xFFFFu) & ((v & 0xFFFFu) != 0);
+}
+
+/// The pre-filter at bit K of a byte whose 16 bytes from there on are
+/// lo, hi; `stored` is stored_lengths_ok() at the byte boundary after
+/// the 3 header bits. Returns the pass flag shifted to bit K.
+template <unsigned K>
+unsigned prefilter_at(std::uint64_t lo, std::uint64_t hi, bool stored) {
+  const unsigned head = kHeaderBits13[(lo >> K) & 0x1FFFu];
+  const unsigned hclen = static_cast<unsigned>(lo >> (13 + K)) & 15u;
+  // The precode field starts 17 bits in: up to 19 lengths = 57 bits.
+  const std::uint64_t pre =
+      ((lo >> (17 + K)) | (hi << (47 - K))) & kPrecodeMask[hclen];
+  const unsigned kraft = kPrecodeKraft4[pre & 0xFFFu] +
+                         kPrecodeKraft4[(pre >> 12) & 0xFFFu] +
+                         kPrecodeKraft4[(pre >> 24) & 0xFFFu] +
+                         kPrecodeKraft4[(pre >> 36) & 0xFFFu] +
+                         kPrecodeKraft4[(pre >> 48) & 0xFFFu];
+  const unsigned dynamic = (head & 1u) & static_cast<unsigned>(kraft == 128);
+  const unsigned stored_pass = (head >> 1) & static_cast<unsigned>(stored);
+  return (dynamic | stored_pass) << K;
+}
+
+template <unsigned... K>
+unsigned prefilter_byte(std::uint64_t lo, std::uint64_t hi, bool stored1, bool stored2,
+                        std::integer_sequence<unsigned, K...>) {
+  // Offsets 0..5 of the byte round their 3 header bits up to byte 1;
+  // offsets 6 and 7 spill into byte 1 and round up to byte 2.
+  return (prefilter_at<K>(lo, hi, K <= 5 ? stored1 : stored2) | ...);
+}
+
+/// Branch-free necessary condition for exact_header_at() at the 8 bit
+/// offsets of byte `b`: bit k of the result is set for every offset
+/// 8b + k the exact filter accepts, and for few others. Reads 16 bytes
+/// from data + b.
+///   * dynamic: BTYPE 2, HLIT <= 29, HDIST <= 29, and the HCLEN + 4
+///     precode lengths form an exactly complete code (five Kraft-table
+///     lookups over the masked 57-bit precode field);
+///   * stored: BTYPE 0 with LEN ^ NLEN == 0xFFFF and LEN != 0 at the
+///     first byte boundary after the 3 header bits.
+unsigned header_prefilter(const std::uint8_t* data, std::uint64_t b) {
+  const std::uint64_t lo = load_u64(data + b);
+  const std::uint64_t hi = load_u64(data + b + 8);
+  return prefilter_byte(lo, hi, stored_lengths_ok(static_cast<std::uint32_t>(lo >> 8)),
+                        stored_lengths_ok(static_cast<std::uint32_t>(lo >> 16)),
+                        std::make_integer_sequence<unsigned, 8>{});
+}
+
+/// The exact header filter find_block_boundary() documents.
+bool exact_header_at(ByteSpan data, std::uint64_t bit, InflateScratch& s) {
+  BitReader br(data, bit);
+  br.read(1);  // BFINAL: either value is plausible
+  const std::uint32_t btype = br.read(2);
+  if (btype == 0) {
+    // Weak filter: byte-aligned LEN/~NLEN must match, and an empty
+    // stored block is too unusual to anchor on.
+    align_to_byte(br);
+    const std::uint32_t len = br.read(16);
+    const std::uint32_t nlen = br.read(16);
+    if ((len ^ nlen) != 0xFFFF || len == 0 || br.overflowed()) return false;
+    return (br.bit_pos() >> 3) + len <= data.size();
+  }
+  if (btype == 2) {
+    return parse_dynamic_header(br, s, /*require_complete=*/true) &&
+           !br.overflowed();
+  }
+  // BTYPE 1 (fixed) has no header to validate — any 3 bits match, so it
+  // carries no evidence; BTYPE 3 is reserved.
+  return false;
+}
+
+}  // namespace
+
 std::uint64_t find_block_boundary(ByteSpan data, std::uint64_t begin_bit,
                                   std::uint64_t end_bit, InflateScratch& s,
                                   BoundaryScanStats* stats) {
   end_bit = std::min<std::uint64_t>(end_bit, 8 * data.size());
-  for (std::uint64_t bit = begin_bit; bit < end_bit; ++bit) {
-    if (stats != nullptr) ++stats->bits_scanned;
-    BitReader br(data, bit);
-    br.read(1);  // BFINAL: either value is plausible
-    const std::uint32_t btype = br.read(2);
-    if (btype == 0) {
-      // Weak filter: byte-aligned LEN/~NLEN must match, and an empty
-      // stored block is too unusual to anchor on.
-      align_to_byte(br);
-      const std::uint32_t len = br.read(16);
-      const std::uint32_t nlen = br.read(16);
-      if ((len ^ nlen) != 0xFFFF || len == 0 || br.overflowed()) continue;
-      if ((br.bit_pos() >> 3) + len > data.size()) continue;
-    } else if (btype == 2) {
-      if (!parse_dynamic_header(br, s, /*require_complete=*/true)) continue;
-      if (br.overflowed()) continue;
-    } else {
-      // BTYPE 1 (fixed) has no header to validate — any 3 bits match,
-      // so it carries no evidence; BTYPE 3 is reserved.
-      continue;
+  const auto found = [&](std::uint64_t bit) {
+    if (stats != nullptr) {
+      stats->bits_scanned += bit - begin_bit + 1;
+      ++stats->candidates;
     }
-    if (stats != nullptr) ++stats->candidates;
     return bit;
+  };
+  // The pre-filter reads 16 bytes from each byte it screens, so the
+  // last < 16 bytes of the slice go straight to the exact filter.
+  const std::uint64_t fast_end =
+      data.size() >= 16 ? std::min<std::uint64_t>(end_bit, 8 * (data.size() - 15))
+                        : 0;
+  for (std::uint64_t bit = begin_bit; bit < fast_end; bit = (bit | 7) + 1) {
+    const std::uint64_t b = bit >> 3;
+    unsigned pass = header_prefilter(data.data(), b) & (0xFFu << (bit & 7));
+    if (pass == 0) continue;
+    if (8 * b + 8 > fast_end) pass &= (1u << (fast_end - 8 * b)) - 1;
+    for (; pass != 0; pass &= pass - 1) {
+      const std::uint64_t cand = 8 * b + static_cast<unsigned>(std::countr_zero(pass));
+      if (exact_header_at(data, cand, s)) return found(cand);
+    }
   }
+  for (std::uint64_t bit = std::max(begin_bit, fast_end); bit < end_bit; ++bit) {
+    if (exact_header_at(data, bit, s)) return found(bit);
+  }
+  if (stats != nullptr && end_bit > begin_bit) stats->bits_scanned += end_bit - begin_bit;
   return kNoBoundary;
 }
 
@@ -374,21 +513,34 @@ void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {
   }
 }
 
-std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
-                            ByteSpan window, MutableByteSpan out) {
+void MarkerPatchTable::set_window(ByteSpan window) {
   check(window.size() == kWindowSize, "gzip: patch window must be 32 KiB");
-  check(out.size() == tokens.size(), "gzip: marker patch size mismatch");
+  if (lut_.empty()) {
+    lut_.resize(kMarkerBase + kWindowSize);
+    for (unsigned b = 0; b < kMarkerBase; ++b) lut_[b] = static_cast<std::uint8_t>(b);
+  }
+  std::copy(window.begin(), window.end(), lut_.begin() + kMarkerBase);
+}
+
+std::uint64_t MarkerPatchTable::patch(const std::uint16_t* tokens, std::size_t n,
+                                      std::uint8_t* out) const {
+  check(!lut_.empty(), "gzip: marker patch table has no window");
+  const std::uint8_t* lut = lut_.data();
   std::uint64_t patched = 0;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t t = tokens[i];
-    if (t < kMarkerBase) {
-      out[i] = static_cast<std::uint8_t>(t);
-    } else {
-      out[i] = window[t - kMarkerBase];
-      ++patched;
-    }
+    out[i] = lut[t];
+    patched += (t >> 8) != 0;  // t >= kMarkerBase
   }
   return patched;
+}
+
+std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
+                            ByteSpan window, MutableByteSpan out) {
+  check(out.size() == tokens.size(), "gzip: marker patch size mismatch");
+  MarkerPatchTable table;
+  table.set_window(window);
+  return table.patch(tokens.data(), tokens.size(), out.data());
 }
 
 // --------------------------------------------------------- chunk driver

@@ -7,12 +7,13 @@
 //     window — back-references that reach before the chunk start are
 //     emitted as 16-bit marker tokens (kMarkerBase + window index) and
 //     patched to bytes once the predecessor chunk's window arrives
-//     (MarkerSink / patch_markers);
+//     (MarkerSink / MarkerPatchTable);
 //   * speculatively find DEFLATE block boundaries in the middle of a
-//     stream (find_block_boundary): try each bit offset, parse a block
-//     header with strong structural filters (an exactly Kraft-complete
-//     lit/len code containing end-of-block, a complete distance code),
-//     and let a full trial decode confirm the survivor;
+//     stream (find_block_boundary): a branch-free pre-filter over the
+//     fixed header bits rejects nearly every bit offset, the survivors
+//     get a full header parse with strong structural filters (an
+//     exactly Kraft-complete lit/len code containing end-of-block, a
+//     complete distance code), and a trial decode confirms the rest;
 //   * decode a bounded CHUNK of blocks — stop at the first block
 //     boundary at/after a target bit — handling gzip member
 //     transitions (trailer + next header + window reset) mid-chunk.
@@ -99,7 +100,17 @@ struct BoundaryScanStats {
 /// aligned LEN/~NLEN pair checks out with LEN > 0. BTYPE 1 (fixed) is
 /// never accepted as an anchor — any 3-bit pattern matches it, so it
 /// carries no evidence (rapidgzip skips it for the same reason).
-/// Returns the bit offset or kNoBoundary.
+///
+/// A branch-free pre-filter runs first at every offset: from two
+/// unaligned 64-bit loads it tests BTYPE, HLIT/HDIST <= 29 and an
+/// exactly complete precode (Kraft sum over the HCLEN + 4 lengths, four
+/// lengths per table lookup), or the stored LEN/NLEN pair. It is a
+/// necessary condition of the exact filter, so it changes the cost of
+/// the scan, not its result; only its rare survivors pay for a header
+/// parse. The last < 16 bytes of `data` skip it.
+///
+/// Returns the bit offset or kNoBoundary. `stats->bits_scanned` counts
+/// the offsets examined, the returned one included.
 std::uint64_t find_block_boundary(ByteSpan data, std::uint64_t begin_bit,
                                   std::uint64_t end_bit, InflateScratch& s,
                                   BoundaryScanStats* stats = nullptr);
@@ -233,9 +244,28 @@ class MarkerSink {
   std::uint64_t max_output_ = 0;
 };
 
-/// Resolves a marker-token stream against the true start window
-/// (exactly kWindowSize bytes, oldest first). out.size() must equal
-/// tokens.size(). Returns the number of markers patched.
+/// Marker patch table: the 256 literal byte values followed by the
+/// 32 KiB start window, so a token resolves with one load and no
+/// branch (a literal-or-marker branch mispredicts when, as is common,
+/// about half of a chunk's tokens are markers). One table serves any
+/// number of token runs patched against the same window.
+class MarkerPatchTable {
+ public:
+  /// Loads the true start window (exactly kWindowSize bytes, oldest first).
+  void set_window(ByteSpan window);
+
+  /// Resolves tokens[0, n) into out[0, n). Returns the markers among them.
+  std::uint64_t patch(const std::uint16_t* tokens, std::size_t n,
+                      std::uint8_t* out) const;
+
+ private:
+  Bytes lut_;  // kMarkerBase + kWindowSize entries once a window is set
+};
+
+/// Resolves a whole marker-token stream against the true start window
+/// (exactly kWindowSize bytes, oldest first) through a MarkerPatchTable.
+/// out.size() must equal tokens.size(). Returns the number of markers
+/// patched.
 std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
                             ByteSpan window, MutableByteSpan out);
 

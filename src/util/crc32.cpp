@@ -44,4 +44,48 @@ std::uint32_t crc32(ByteSpan data, std::uint32_t seed) {
   return ~crc;
 }
 
+namespace {
+
+// A linear operator on 32-bit CRC states over GF(2): column k is the
+// image of state bit k.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+std::uint32_t gf2_times(const Gf2Matrix& mat, std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  for (unsigned k = 0; vec != 0; ++k, vec >>= 1) {
+    if ((vec & 1u) != 0) sum ^= mat[k];
+  }
+  return sum;
+}
+
+Gf2Matrix gf2_square(const Gf2Matrix& mat) {
+  Gf2Matrix sq;
+  for (unsigned k = 0; k < 32; ++k) sq[k] = gf2_times(mat, mat[k]);
+  return sq;
+}
+
+}  // namespace
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  if (len_b == 0) return crc_a;
+  // The operator that feeds one zero bit through the reflected CRC
+  // register; squared twice it feeds four, and once more one zero byte.
+  Gf2Matrix op;
+  op[0] = 0xEDB88320u;
+  for (unsigned k = 1; k < 32; ++k) op[k] = 1u << (k - 1);
+  op = gf2_square(gf2_square(gf2_square(op)));
+  // Apply op^(2^j) for every set bit j of len_b: crc_a moved past len_b
+  // zero bytes. crc32() is affine in its input, and the constant parts
+  // of the two sides (its pre- and post-inversion) cancel, so the
+  // shifted crc_a and crc_b combine by a plain XOR.
+  while (true) {
+    if ((len_b & 1u) != 0) crc_a = gf2_times(op, crc_a);
+    len_b >>= 1;
+    if (len_b == 0) break;
+    op = gf2_square(op);
+  }
+  return crc_a ^ crc_b;
+}
+
 }  // namespace gompresso

@@ -16,8 +16,14 @@
 //     transient-only plans byte-exactly;
 //   - the "GZIX" sidecar: reopen loads it instead of re-scanning
 //     (counter-asserted) and a wrong-flavor sidecar is rejected;
-//   - parallel == sequential: the speculative wave build and the pure
-//     sequential build produce identical bytes;
+//   - the boundary pre-filter: find_block_boundary agrees with a
+//     reference header predicate at every bit offset of real gzip
+//     output, random bytes, stored blocks and slice tails;
+//   - parallel == sequential: the speculative window-chain build and
+//     the pure sequential build produce identical sidecars, repeatedly,
+//     and fail with the same typed error on lying trailers, truncation
+//     and trailing garbage (TSan and ASan run this suite too, so the
+//     chain hand-off is exercised under both);
 //   - the pipe fallback: gzip on a non-seekable stream decodes through
 //     decompress_stream's sequential path.
 #include <gtest/gtest.h>
@@ -150,6 +156,45 @@ Bytes read_file(const std::string& path) {
 
 bool have_gzip_binary() {
   return std::system("gzip --version >/dev/null 2>&1") == 0;
+}
+
+/// `gzip -6` output of `input` via the system binary (callers skip
+/// when have_gzip_binary() is false).
+Bytes system_gzip(const Bytes& input, const char* tag) {
+  const std::string raw = temp_path(tag);
+  write_file(raw, ByteSpan(input.data(), input.size()));
+  const std::string gz = raw + ".gz";
+  EXPECT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+  Bytes file = read_file(gz);
+  std::remove(raw.c_str());
+  std::remove(gz.c_str());
+  return file;
+}
+
+/// Builds the index of `file`; returns its sidecar, or the kind and
+/// message of the typed error the build threw.
+struct BuildOutcome {
+  Bytes sidecar;
+  bool threw = false;
+  ErrorKind kind = ErrorKind::kConfig;
+  std::string what;
+};
+
+BuildOutcome build_index(const Bytes& file, std::uint64_t chunk_size,
+                         ThreadPool* pool) {
+  ingest::GzipIndexOptions opt;
+  opt.chunk_size = chunk_size;
+  opt.pool = pool;
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+  BuildOutcome out;
+  try {
+    out.sidecar = ingest::GzipIndex::build(*src, opt).serialize();
+  } catch (const Error& e) {
+    out.threw = true;
+    out.kind = e.kind();
+    out.what = e.what();
+  }
+  return out;
 }
 
 /// A streambuf that cannot seek (pubseekoff keeps the std::streambuf
@@ -385,8 +430,9 @@ TEST(IngestGzip, ParallelBuildMatchesSequential) {
 
   ASSERT_EQ(si.total_uncompressed(), input.size());
   ASSERT_EQ(pi.total_uncompressed(), input.size());
-  // The wave build must land on the same chunk geometry the sequential
-  // build finds — speculation changes the schedule, not the result.
+  // The window-chain build must land on the same chunk geometry the
+  // sequential build finds — speculation changes the schedule, not the
+  // result.
   ASSERT_EQ(pi.num_chunks(), si.num_chunks());
   for (std::size_t i = 0; i < si.num_chunks(); ++i) {
     EXPECT_EQ(pi.chunk(i).start_bit, si.chunk(i).start_bit);
@@ -398,6 +444,179 @@ TEST(IngestGzip, ParallelBuildMatchesSequential) {
   EXPECT_EQ(out, input);
   std::remove(raw.c_str());
   std::remove(gz.c_str());
+}
+
+// ------------------------------------------------ boundary pre-filter
+
+/// The exact header predicate find_block_boundary documents, written
+/// out independently of its pre-filter.
+bool reference_boundary(ByteSpan data, std::uint64_t bit,
+                        ingest::InflateScratch& s) {
+  BitReader br(data, bit);
+  br.read(1);
+  const std::uint32_t btype = br.read(2);
+  if (btype == 0) {
+    const unsigned pad = static_cast<unsigned>(br.bit_pos() & 7);
+    if (pad != 0) br.consume(8 - pad);
+    const std::uint32_t len = br.read(16);
+    const std::uint32_t nlen = br.read(16);
+    return (len ^ nlen) == 0xFFFF && len != 0 && !br.overflowed() &&
+           (br.bit_pos() >> 3) + len <= data.size();
+  }
+  if (btype == 2) {
+    return ingest::parse_dynamic_header(br, s, /*require_complete=*/true) &&
+           !br.overflowed();
+  }
+  return false;
+}
+
+/// Compares find_block_boundary(data, b, b + 1) with the reference at
+/// every bit offset in [from_bit, 8 * data.size()). Returns the number
+/// of accepted offsets; any disagreement fails the test.
+std::uint64_t expect_filter_matches(ByteSpan data, std::uint64_t from_bit,
+                                    const char* what) {
+  ingest::InflateScratch s;
+  std::uint64_t accepted = 0, mismatches = 0;
+  for (std::uint64_t b = from_bit; b < 8 * data.size(); ++b) {
+    ingest::BoundaryScanStats stats;
+    const std::uint64_t got = ingest::find_block_boundary(data, b, b + 1, s, &stats);
+    const bool want = reference_boundary(data, b, s);
+    if ((got == b) != want || (got != b && got != ingest::kNoBoundary) ||
+        stats.bits_scanned != 1) {
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << what << ": filter disagrees at bit " << b << " of "
+                      << 8 * data.size() << " (reference " << want << ")";
+      }
+    }
+    accepted += want ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return accepted;
+}
+
+TEST(IngestGzip, PrefilterKeepsEveryBoundaryOfRealGzip) {
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  Bytes file = system_gzip(datagen::wikipedia(1 << 20), "prefilter");
+  file.resize(std::min<std::size_t>(file.size(), 256 * 1024));
+  const std::uint64_t accepted =
+      expect_filter_matches(ByteSpan(file.data(), file.size()), 0, "gzip -6");
+  EXPECT_GT(accepted, 0u) << "the corpus should hold real block boundaries";
+}
+
+TEST(IngestGzip, PrefilterKeepsEveryBoundaryOfRandomAndStoredData) {
+  const Bytes noise = datagen::random_bytes(64 * 1024, 20261021);
+  expect_filter_matches(ByteSpan(noise.data(), noise.size()), 0, "random bytes");
+  // Stored blocks: LEN/NLEN anchors at every header alignment the
+  // writer produces, member framing around them.
+  const Bytes input = datagen::wikipedia(200000);
+  const Bytes stored = gzip_store_member(ByteSpan(input.data(), input.size()));
+  EXPECT_GT(expect_filter_matches(ByteSpan(stored.data(), stored.size()), 0,
+                                  "stored member"),
+            0u);
+}
+
+TEST(IngestGzip, PrefilterAgreesInSliceTails) {
+  // The last < 16 bytes of a slice take the exact path only; cut slices
+  // of real output (or of stored blocks without a gzip binary) at many
+  // lengths so the cut lands before, inside and after block headers.
+  Bytes file;
+  if (have_gzip_binary()) {
+    file = system_gzip(datagen::wikipedia(300000), "prefilter_tail");
+  } else {
+    const Bytes input = datagen::wikipedia(300000);
+    file = gzip_store_member(ByteSpan(input.data(), input.size()));
+  }
+  std::vector<std::size_t> cuts;
+  for (std::size_t len = 1; len <= 40; ++len) cuts.push_back(len);
+  for (std::size_t len = 41; len < file.size(); len += 997) cuts.push_back(len);
+  // A stored member small enough to sit entirely in one slice tail.
+  const Bytes tiny_input = {'a', 'b', 'c'};
+  const Bytes tiny = gzip_store_member(ByteSpan(tiny_input.data(), tiny_input.size()));
+  EXPECT_GT(expect_filter_matches(ByteSpan(tiny.data(), tiny.size()), 0, "tiny"), 0u);
+  for (const std::size_t len : cuts) {
+    const std::uint64_t from = len > 16 ? 8 * (len - 16) : 0;
+    expect_filter_matches(ByteSpan(file.data(), len), from, "slice tail");
+  }
+}
+
+// --------------------------------- parallel errors and determinism
+
+constexpr std::uint64_t kParallelChunkSizes[] = {16 * 1024, 40 * 1024, 96 * 1024};
+
+/// Three members, each large enough to span several cells.
+Bytes three_member_file(std::vector<std::size_t>* member_ends) {
+  Bytes file;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Bytes part =
+        seed == 2 ? datagen::matrix(150000) : datagen::wikipedia(180000 + 20000 * seed);
+    Bytes member;
+    if (have_gzip_binary()) {
+      member = system_gzip(part, "member");
+    } else {
+      member = gzip_store_member(ByteSpan(part.data(), part.size()));
+    }
+    file.insert(file.end(), member.begin(), member.end());
+    member_ends->push_back(file.size());
+  }
+  return file;
+}
+
+void expect_same_failure(const Bytes& file, const char* what) {
+  ThreadPool pool(4);
+  for (const std::uint64_t chunk : kParallelChunkSizes) {
+    const BuildOutcome seq = build_index(file, chunk, nullptr);
+    const BuildOutcome par = build_index(file, chunk, &pool);
+    ASSERT_TRUE(seq.threw) << what << " chunk " << chunk;
+    ASSERT_TRUE(par.threw) << what << " chunk " << chunk;
+    EXPECT_EQ(par.kind, seq.kind) << what << " chunk " << chunk;
+    EXPECT_EQ(par.what, seq.what) << what << " chunk " << chunk;
+  }
+}
+
+TEST(IngestGzip, ParallelBuildReportsLyingMiddleTrailer) {
+  std::vector<std::size_t> ends;
+  const Bytes good = three_member_file(&ends);
+  {
+    Bytes bad = good;
+    bad[ends[1] - 8] ^= 0x01;  // middle member's CRC32
+    expect_same_failure(bad, "CRC32");
+  }
+  {
+    Bytes bad = good;
+    bad[ends[1] - 4] ^= 0x01;  // middle member's ISIZE
+    expect_same_failure(bad, "ISIZE");
+  }
+}
+
+TEST(IngestGzip, ParallelBuildReportsTruncation) {
+  std::vector<std::size_t> ends;
+  const Bytes good = three_member_file(&ends);
+  // Cut inside the last member's DEFLATE data, well before its trailer.
+  const Bytes cut(good.begin(), good.begin() + static_cast<long>(ends[1] + (ends[2] - ends[1]) / 2));
+  expect_same_failure(cut, "truncated mid-block");
+}
+
+TEST(IngestGzip, ParallelBuildReportsTrailingGarbage) {
+  std::vector<std::size_t> ends;
+  Bytes bad = three_member_file(&ends);
+  const Bytes garbage = datagen::random_bytes(50000, 99);
+  bad.insert(bad.end(), garbage.begin(), garbage.end());
+  expect_same_failure(bad, "trailing garbage");
+}
+
+TEST(IngestGzip, RepeatedParallelBuildsMatchSequentialSidecar) {
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  const Bytes file = system_gzip(datagen::wikipedia(1 << 20), "repeat");
+  const BuildOutcome seq = build_index(file, 32 * 1024, nullptr);
+  ASSERT_FALSE(seq.threw) << seq.what;
+  ThreadPool pool(4);
+  for (int run = 0; run < 50; ++run) {
+    const BuildOutcome par = build_index(file, 32 * 1024, &pool);
+    ASSERT_FALSE(par.threw) << par.what;
+    // The sidecar holds every chunk's extents, offsets and window and
+    // the member count: the whole index, not just its bit extents.
+    ASSERT_EQ(par.sidecar, seq.sidecar) << "run " << run;
+  }
 }
 
 // ------------------------------------------------------------ sidecar

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/bounded_queue.hpp"
 #include "util/buffer_pool.hpp"
@@ -39,6 +41,45 @@ TEST(Crc32, IncrementalMatchesOneShot) {
     const std::uint32_t part1 = crc32(ByteSpan(data.data(), split));
     const std::uint32_t part2 = crc32(ByteSpan(data.data() + split, 1000 - split), part1);
     EXPECT_EQ(part2, whole) << "split=" << split;
+  }
+}
+
+TEST(Crc32, CombineMatchesConcatenation) {
+  Rng rng(20261021);
+  Bytes data(5000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::uint32_t whole = crc32(data);
+  std::vector<std::size_t> splits = {0, 1, data.size() - 1, data.size()};
+  for (int i = 0; i < 40; ++i) splits.push_back(rng.next_u32() % (data.size() + 1));
+  for (const std::size_t split : splits) {
+    const std::uint32_t a = crc32(ByteSpan(data.data(), split));
+    const std::uint32_t b = crc32(ByteSpan(data.data() + split, data.size() - split));
+    EXPECT_EQ(crc32_combine(a, b, data.size() - split), whole) << "split=" << split;
+  }
+  // |B| = 0 leaves crc(A) alone; a long run of zeros exercises many
+  // squarings of the shift operator.
+  EXPECT_EQ(crc32_combine(0x12345678u, 0, 0), 0x12345678u);
+  const Bytes zeros(1 << 20, 0);
+  EXPECT_EQ(crc32_combine(crc32(data), crc32(zeros), zeros.size()),
+            crc32(zeros, crc32(data)));
+}
+
+TEST(Crc32, CombineIsAssociative) {
+  Rng rng(7);
+  Bytes data(3000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (int trial = 0; trial < 30; ++trial) {
+    std::size_t i = rng.next_u32() % (data.size() + 1);
+    std::size_t j = rng.next_u32() % (data.size() + 1);
+    if (i > j) std::swap(i, j);
+    const std::uint32_t a = crc32(ByteSpan(data.data(), i));
+    const std::uint32_t b = crc32(ByteSpan(data.data() + i, j - i));
+    const std::uint32_t c = crc32(ByteSpan(data.data() + j, data.size() - j));
+    const std::uint32_t left = crc32_combine(crc32_combine(a, b, j - i), c, data.size() - j);
+    const std::uint32_t right = crc32_combine(a, crc32_combine(b, c, data.size() - j),
+                                              data.size() - i);
+    EXPECT_EQ(left, right) << i << ".." << j;
+    EXPECT_EQ(left, crc32(data)) << i << ".." << j;
   }
 }
 
